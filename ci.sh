@@ -64,6 +64,23 @@ for f in "$BATCH_DIR"/ref/*.labels; do
 done
 echo "    resume complete, results byte-identical"
 
+echo "==> messy edge list ingests like the binary CSR"
+# The block-parallel edge-list reader on a multi-block file rewritten
+# with CRLF endings, comment lines, blank lines and tab separators: its
+# labels must be byte-identical to those of the binary CSR of the same
+# graph (converted from the clean edge list, so both carry the same
+# vertex count).
+"$ECL" generate soc-LiveJournal1 -o "$BATCH_DIR/ingest.el" --scale bench > /dev/null
+"$ECL" convert "$BATCH_DIR/ingest.el" "$BATCH_DIR/ingest.ecl" > /dev/null
+awk 'NR % 997 == 1 { printf "%% comment %d\r\n# another\r\n\r\n", NR }
+     { gsub(/ /, "\t"); printf " %s\t\r\n", $0 }' \
+    "$BATCH_DIR/ingest.el" > "$BATCH_DIR/messy.el"
+"$ECL" components "$BATCH_DIR/messy.el" --labels "$BATCH_DIR/messy.labels" > /dev/null
+"$ECL" components "$BATCH_DIR/ingest.ecl" --labels "$BATCH_DIR/ingest.labels" > /dev/null
+cmp -s "$BATCH_DIR/messy.labels" "$BATCH_DIR/ingest.labels" \
+    || { echo "messy edge list labels differ from the binary CSR's"; exit 1; }
+echo "    CRLF/comment/tab edge list labels byte-identical to the binary CSR's"
+
 echo "==> serial vs host-parallel equivalence smoke"
 # The same graph labeled with the simulator serial and host-parallel
 # (--sim-workers 0 = one per core); certified labels must be

@@ -23,62 +23,11 @@ use std::path::Path;
 
 pub mod profile;
 
-/// Graph file formats the CLI reads and writes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Format {
-    /// Whitespace edge list (`u v` per line).
-    EdgeList,
-    /// DIMACS `.gr`.
-    Dimacs,
-    /// Matrix Market coordinate.
-    MatrixMarket,
-    /// ECLCSR01 binary.
-    Binary,
-    /// Galois binary `.gr` (version 1).
-    GaloisGr,
-}
-
-impl Format {
-    /// Infers the format from a file extension; `None` if unknown.
-    pub fn from_path(path: &Path) -> Option<Format> {
-        match path.extension()?.to_str()? {
-            "el" | "txt" | "edges" => Some(Format::EdgeList),
-            "gr" | "dimacs" => Some(Format::Dimacs),
-            "mtx" | "mm" => Some(Format::MatrixMarket),
-            "ecl" | "bin" => Some(Format::Binary),
-            "sgr" | "vgr" => Some(Format::GaloisGr),
-            _ => None,
-        }
-    }
-
-    /// Parses an explicit `--format` value.
-    pub fn from_name(name: &str) -> Option<Format> {
-        match name {
-            "edgelist" | "el" => Some(Format::EdgeList),
-            "dimacs" | "gr" => Some(Format::Dimacs),
-            "matrixmarket" | "mtx" => Some(Format::MatrixMarket),
-            "binary" | "ecl" => Some(Format::Binary),
-            "galois" | "sgr" => Some(Format::GaloisGr),
-            _ => None,
-        }
-    }
-}
+pub use ecl_graph::io::Format;
 
 /// Reads a graph file in the given (or inferred) format.
 pub fn read_graph(path: &Path, format: Option<Format>) -> Result<CsrGraph, String> {
-    let format = format
-        .or_else(|| Format::from_path(path))
-        .ok_or_else(|| format!("cannot infer format of {}; pass --format", path.display()))?;
-    let file = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let reader = std::io::BufReader::new(file);
-    let res = match format {
-        Format::EdgeList => io::read_edge_list(reader),
-        Format::Dimacs => io::read_dimacs(reader),
-        Format::MatrixMarket => io::read_matrix_market(reader),
-        Format::Binary => io::read_binary(reader),
-        Format::GaloisGr => io::read_galois_gr(reader),
-    };
-    res.map_err(|e| format!("{}: {e}", path.display()))
+    io::read_path(path, format)
 }
 
 /// Writes a graph file in the given (or inferred) format.

@@ -383,13 +383,12 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 eprintln!("trace written to {out}");
             }
             if let Some(out) = flag(args, "--labels") {
-                let text: String = r
-                    .labels
-                    .iter()
-                    .enumerate()
-                    .map(|(v, l)| format!("{v} {l}\n"))
-                    .collect();
-                std::fs::write(&out, text).map_err(|e| format!("{out}: {e}"))?;
+                let write = || -> std::io::Result<()> {
+                    let mut w = std::io::BufWriter::new(std::fs::File::create(&out)?);
+                    ecl_engine::write_labels(&r.labels, &mut w)?;
+                    std::io::Write::flush(&mut w)
+                };
+                write().map_err(|e| format!("{out}: {e}"))?;
                 println!("labels written to {out}");
             }
             Ok(())

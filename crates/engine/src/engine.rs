@@ -107,11 +107,41 @@ impl Default for EngineConfig {
 /// bytes that must be identical between a resumed and an uninterrupted
 /// run.
 pub fn labels_to_bytes(labels: &[u32]) -> Vec<u8> {
-    let mut out = String::with_capacity(labels.len() * 8);
-    for (v, l) in labels.iter().enumerate() {
-        out.push_str(&format!("{v} {l}\n"));
+    let mut out = Vec::with_capacity(labels.len() * 14);
+    write_labels(labels, &mut out).expect("writing to a Vec cannot fail");
+    out
+}
+
+/// Streams a labeling in the `vertex label` line format of
+/// [`labels_to_bytes`] to `w`, one `write_all` per line from a stack
+/// buffer. Pass a buffered writer and flush it afterwards.
+pub fn write_labels(labels: &[u32], mut w: impl std::io::Write) -> std::io::Result<()> {
+    // The longest line: a 20-digit `usize`, a space, a 10-digit `u32`
+    // and the newline.
+    let mut line = [0u8; 32];
+    for (v, &l) in labels.iter().enumerate() {
+        let mut start = line.len() - 1;
+        line[start] = b'\n';
+        start = put_decimal(&mut line, start, l as u64);
+        start -= 1;
+        line[start] = b' ';
+        start = put_decimal(&mut line, start, v as u64);
+        w.write_all(&line[start..])?;
     }
-    out.into_bytes()
+    Ok(())
+}
+
+/// Writes `x` in decimal into `buf`, ending just before `end`; returns
+/// the index of its first digit.
+fn put_decimal(buf: &mut [u8], mut end: usize, mut x: u64) -> usize {
+    loop {
+        end -= 1;
+        buf[end] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            return end;
+        }
+    }
 }
 
 struct Shared<'a> {
@@ -842,4 +872,23 @@ fn finish_job(
         error: None,
         time_ms: t0.elapsed().as_secs_f64() * 1e3,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn labels_serialize_as_formatted_vertex_label_lines() {
+        let labels: Vec<u32> = (0..1005)
+            .map(|v| if v % 7 == 0 { u32::MAX } else { v / 10 })
+            .collect();
+        let want: String = labels
+            .iter()
+            .enumerate()
+            .map(|(v, l)| format!("{v} {l}\n"))
+            .collect();
+        assert_eq!(labels_to_bytes(&labels), want.as_bytes());
+        assert!(labels_to_bytes(&[]).is_empty());
+    }
 }

@@ -42,6 +42,6 @@ pub mod spec;
 
 pub use backoff::BackoffPolicy;
 pub use breaker::{Admission, BreakerConfig, BreakerState};
-pub use engine::{labels_to_bytes, run_batch, EngineConfig};
+pub use engine::{labels_to_bytes, run_batch, write_labels, EngineConfig};
 pub use report::{BatchReport, JobReport, JobStatus};
 pub use spec::{parse_jobs, GraphSpec, JobSpec};

@@ -22,7 +22,7 @@
 use crate::journal::fnv1a;
 use ecl_graph::{generate, io, CsrGraph};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -143,24 +143,9 @@ impl GraphSpec {
             GraphSpec::Gnm(n, m, s) => generate::gnm_random(*n, *m, *s),
             GraphSpec::Rmat(sc, d, s) => generate::rmat(*sc, *d, generate::RmatParams::GALOIS, *s),
             GraphSpec::Kronecker(sc, d, s) => generate::kronecker(*sc, *d, *s),
-            GraphSpec::File(path) => read_graph_file(path)?,
+            GraphSpec::File(path) => io::read_path(path, None)?,
         })
     }
-}
-
-fn read_graph_file(path: &Path) -> Result<CsrGraph, String> {
-    let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
-    let file = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let reader = std::io::BufReader::new(file);
-    let res = match ext {
-        "el" | "txt" | "edges" => io::read_edge_list(reader),
-        "gr" | "dimacs" => io::read_dimacs(reader),
-        "mtx" | "mm" => io::read_matrix_market(reader),
-        "ecl" | "bin" => io::read_binary(reader),
-        "sgr" | "vgr" => io::read_galois_gr(reader),
-        other => return Err(format!("{}: unknown extension '{other}'", path.display())),
-    };
-    res.map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// One job of a batch.

@@ -63,6 +63,23 @@ impl GraphBuilder {
         }
     }
 
+    /// Appends edges already in canonical `(min, max)` order, leaving
+    /// `edges` empty with its capacity kept for reuse. `num_vertices`
+    /// must exceed every endpoint, as [`Self::add_edge`] would make it.
+    pub(crate) fn append_canonical(&mut self, edges: &mut Vec<Edge>, num_vertices: usize) {
+        self.num_vertices = self.num_vertices.max(num_vertices);
+        // Grow to powers of two, as repeated `add_edge` pushes do. The
+        // edge array is a read's largest allocation, and its size decides
+        // how the allocator reuses that memory once `build` frees it, and
+        // with it the peak RSS of whatever runs next.
+        let need = self.edges.len() + edges.len();
+        if need > self.edges.capacity() {
+            self.edges
+                .reserve_exact(need.next_power_of_two() - self.edges.len());
+        }
+        self.edges.append(edges);
+    }
+
     /// Ensures the graph has at least `n` vertices even if the trailing ones
     /// are isolated.
     pub fn ensure_vertices(&mut self, n: usize) {

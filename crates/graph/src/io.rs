@@ -8,7 +8,72 @@
 //! edges) is normalized exactly as the paper describes.
 
 use crate::{CsrGraph, GraphBuilder, Vertex};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
+use std::path::Path;
+
+#[cfg(test)]
+mod differential;
+mod text;
+
+/// Graph file formats.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Format {
+    /// Whitespace edge list (`u v` per line).
+    EdgeList,
+    /// DIMACS `.gr`.
+    Dimacs,
+    /// Matrix Market coordinate.
+    MatrixMarket,
+    /// ECLCSR01 binary.
+    Binary,
+    /// Galois binary `.gr` (version 1).
+    GaloisGr,
+}
+
+impl Format {
+    /// Infers the format from a file extension; `None` if unknown.
+    pub fn from_path(path: &Path) -> Option<Format> {
+        match path.extension()?.to_str()? {
+            "el" | "txt" | "edges" => Some(Format::EdgeList),
+            "gr" | "dimacs" => Some(Format::Dimacs),
+            "mtx" | "mm" => Some(Format::MatrixMarket),
+            "ecl" | "bin" => Some(Format::Binary),
+            "sgr" | "vgr" => Some(Format::GaloisGr),
+            _ => None,
+        }
+    }
+
+    /// Parses an explicit format name (the CLI's `--format` values).
+    pub fn from_name(name: &str) -> Option<Format> {
+        match name {
+            "edgelist" | "el" => Some(Format::EdgeList),
+            "dimacs" | "gr" => Some(Format::Dimacs),
+            "matrixmarket" | "mtx" => Some(Format::MatrixMarket),
+            "binary" | "ecl" => Some(Format::Binary),
+            "galois" | "sgr" => Some(Format::GaloisGr),
+            _ => None,
+        }
+    }
+}
+
+/// Reads a graph file in the given format, or the one its extension
+/// names. Errors are messages that name the path.
+pub fn read_path(path: &Path, format: Option<Format>) -> Result<CsrGraph, String> {
+    let format = format
+        .or_else(|| Format::from_path(path))
+        .ok_or_else(|| format!("cannot infer format of {}; pass --format", path.display()))?;
+    let file = std::fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    // The text readers read in blocks of their own; the binary ones read
+    // field by field and need the buffer.
+    let res = match format {
+        Format::EdgeList => read_edge_list(file),
+        Format::Dimacs => read_dimacs(file),
+        Format::MatrixMarket => read_matrix_market(file),
+        Format::Binary => read_binary(BufReader::new(file)),
+        Format::GaloisGr => read_galois_gr(BufReader::new(file)),
+    };
+    res.map_err(|e| format!("{}: {e}", path.display()))
+}
 
 /// Errors produced by the readers.
 #[derive(Debug)]
@@ -76,29 +141,14 @@ fn check_declared_vertices(n: usize, what: &str) -> Result<(), IoError> {
 }
 
 /// Reads a whitespace-separated edge list (SNAP style): one `u v` pair per
-/// line, `#`-prefixed comment lines ignored. Vertex IDs are used as-is.
+/// line, `#`- and `%`-prefixed comment lines ignored, tokens after the
+/// second ignored. Vertex IDs are used as-is.
+///
+/// The input is read in bounded blocks, each parsed in parallel on the
+/// available cores; see `io::text` for the exact line and token rules.
 pub fn read_edge_list(r: impl Read) -> Result<CsrGraph, IoError> {
-    let mut b = GraphBuilder::new(0);
-    for (lineno, line) in BufReader::new(r).lines().enumerate() {
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') || t.starts_with('%') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        let u: Vertex = it
-            .next()
-            .ok_or_else(|| parse_err(format!("line {}: missing source", lineno + 1)))?
-            .parse()
-            .map_err(|e| parse_err(format!("line {}: {e}", lineno + 1)))?;
-        let v: Vertex = it
-            .next()
-            .ok_or_else(|| parse_err(format!("line {}: missing target", lineno + 1)))?
-            .parse()
-            .map_err(|e| parse_err(format!("line {}: {e}", lineno + 1)))?;
-        b.add_edge(u, v);
-    }
-    Ok(b.build())
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    text::read_edge_list_with(r, threads, text::BLOCK_BYTES)
 }
 
 /// Writes the graph as an edge list, each undirected edge once (`u < v`).
@@ -116,18 +166,14 @@ pub fn write_edge_list(g: &CsrGraph, mut w: impl Write) -> io::Result<()> {
 pub fn read_dimacs(r: impl Read) -> Result<CsrGraph, IoError> {
     let mut b = GraphBuilder::new(0);
     let mut declared_n = None;
-    for (lineno, line) in BufReader::new(r).lines().enumerate() {
-        let line = line?;
+    text::for_each_line(r, |no, line| {
         let t = line.trim();
         if t.is_empty() || t.starts_with('c') {
-            continue;
+            return Ok(());
         }
         if let Some(rest) = t.strip_prefix("p ") {
             if declared_n.is_some() {
-                return Err(parse_err(format!(
-                    "line {}: duplicate problem line",
-                    lineno + 1
-                )));
+                return Err(parse_err(format!("line {no}: duplicate problem line")));
             }
             let mut it = rest.split_whitespace();
             let _kind = it.next();
@@ -142,35 +188,23 @@ pub fn read_dimacs(r: impl Read) -> Result<CsrGraph, IoError> {
         } else if let Some(rest) = t.strip_prefix("a ") {
             if declared_n.is_none() {
                 return Err(parse_err(format!(
-                    "line {}: arc before the problem line (missing `p` header?)",
-                    lineno + 1
+                    "line {no}: arc before the problem line (missing `p` header?)"
                 )));
             }
             let mut it = rest.split_whitespace();
-            let u: Vertex = it
-                .next()
-                .ok_or_else(|| parse_err(format!("line {}: missing u", lineno + 1)))?
-                .parse()
-                .map_err(|e| parse_err(format!("line {}: {e}", lineno + 1)))?;
-            let v: Vertex = it
-                .next()
-                .ok_or_else(|| parse_err(format!("line {}: missing v", lineno + 1)))?
-                .parse()
-                .map_err(|e| parse_err(format!("line {}: {e}", lineno + 1)))?;
+            let u = text::vertex(it.next(), "line", no, "u")?;
+            let v = text::vertex(it.next(), "line", no, "v")?;
             if u == 0 || v == 0 {
                 return Err(parse_err(format!(
-                    "line {}: DIMACS vertices are 1-indexed",
-                    lineno + 1
+                    "line {no}: DIMACS vertices are 1-indexed"
                 )));
             }
             b.add_edge(u - 1, v - 1);
         } else {
-            return Err(parse_err(format!(
-                "line {}: unrecognized record '{t}'",
-                lineno + 1
-            )));
+            return Err(parse_err(format!("line {no}: unrecognized record '{t}'")));
         }
-    }
+        Ok(())
+    })?;
     if let Some(n) = declared_n {
         if b.num_vertices() > n {
             return Err(parse_err(format!(
@@ -186,75 +220,71 @@ pub fn read_dimacs(r: impl Read) -> Result<CsrGraph, IoError> {
 /// 1-indexed `i j [value]` entries. The matrix must be square; values are
 /// ignored and the pattern is symmetrized.
 pub fn read_matrix_market(r: impl Read) -> Result<CsrGraph, IoError> {
-    let reader = BufReader::new(r);
-    let mut lines = reader.lines();
-    let header = lines.next().ok_or_else(|| parse_err("empty file"))??;
-    if !header.starts_with("%%MatrixMarket") {
-        return Err(parse_err("missing %%MatrixMarket header"));
-    }
-    let mut size_line = None;
-    for line in lines.by_ref() {
-        let line = line?;
-        let t = line.trim().to_string();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        size_line = Some(t);
-        break;
-    }
-    let size_line = size_line.ok_or_else(|| parse_err("missing size line"))?;
-    let dims: Vec<usize> = size_line
-        .split_whitespace()
-        .map(|s| s.parse::<usize>())
-        .collect::<Result<_, _>>()
-        .map_err(|e| parse_err(format!("size line: {e}")))?;
-    if dims.len() != 3 {
-        return Err(parse_err("size line must have rows cols nnz"));
-    }
-    if dims[0] != dims[1] {
-        return Err(parse_err(format!(
-            "matrix must be square, got {}x{}",
-            dims[0], dims[1]
-        )));
-    }
-    check_declared_vertices(dims[0], "dimension")?;
-    let mut b = GraphBuilder::with_capacity(capped(dims[0]), capped(dims[2]));
-    b.ensure_vertices(dims[0]);
+    let mut header_seen = false;
+    // (dimension, declared nnz, the size line's number)
+    let mut size: Option<(usize, usize, usize)> = None;
+    let mut b = GraphBuilder::new(0);
     let mut entries = 0usize;
-    for (lineno, line) in lines.enumerate() {
-        let line = line?;
+    text::for_each_line(r, |no, line| {
+        if !header_seen {
+            header_seen = true;
+            if !line.starts_with("%%MatrixMarket") {
+                return Err(parse_err("missing %%MatrixMarket header"));
+            }
+            return Ok(());
+        }
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
-            continue;
+            return Ok(());
         }
+        let Some((n, nnz, size_line)) = size else {
+            let dims: Vec<usize> = t
+                .split_whitespace()
+                .map(|s| s.parse::<usize>())
+                .collect::<Result<_, _>>()
+                .map_err(|e| parse_err(format!("size line: {e}")))?;
+            if dims.len() != 3 {
+                return Err(parse_err("size line must have rows cols nnz"));
+            }
+            if dims[0] != dims[1] {
+                return Err(parse_err(format!(
+                    "matrix must be square, got {}x{}",
+                    dims[0], dims[1]
+                )));
+            }
+            check_declared_vertices(dims[0], "dimension")?;
+            b = GraphBuilder::with_capacity(capped(dims[0]), capped(dims[2]));
+            b.ensure_vertices(dims[0]);
+            size = Some((dims[0], dims[2], no));
+            return Ok(());
+        };
+        // Entries are numbered from the line after the size line.
+        let entry = no - size_line;
         entries += 1;
-        if entries > dims[2] {
+        if entries > nnz {
             return Err(parse_err(format!(
-                "more entries than the declared nnz {}",
-                dims[2]
+                "more entries than the declared nnz {nnz}"
             )));
         }
         let mut it = t.split_whitespace();
-        let i: Vertex = it
-            .next()
-            .ok_or_else(|| parse_err(format!("entry {}: missing row", lineno + 1)))?
-            .parse()
-            .map_err(|e| parse_err(format!("entry {}: {e}", lineno + 1)))?;
-        let j: Vertex = it
-            .next()
-            .ok_or_else(|| parse_err(format!("entry {}: missing col", lineno + 1)))?
-            .parse()
-            .map_err(|e| parse_err(format!("entry {}: {e}", lineno + 1)))?;
+        let i = text::vertex(it.next(), "entry", entry, "row")?;
+        let j = text::vertex(it.next(), "entry", entry, "col")?;
         if i == 0 || j == 0 {
             return Err(parse_err("Matrix Market entries are 1-indexed"));
         }
-        if i as usize > dims[0] || j as usize > dims[0] {
+        if i as usize > n || j as usize > n {
             return Err(parse_err(format!(
-                "entry ({i}, {j}) outside the declared {0}x{0} matrix",
-                dims[0]
+                "entry ({i}, {j}) outside the declared {n}x{n} matrix"
             )));
         }
         b.add_edge(i - 1, j - 1);
+        Ok(())
+    })?;
+    if !header_seen {
+        return Err(parse_err("empty file"));
+    }
+    if size.is_none() {
+        return Err(parse_err("missing size line"));
     }
     Ok(b.build())
 }
