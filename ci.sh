@@ -99,8 +99,8 @@ cmp -s "$BATCH_DIR/serial.labels" "$BATCH_DIR/parallel.labels" \
     --sim-workers 3 --labels "$BATCH_DIR/parallel-fault.labels" > /dev/null
 cmp -s "$BATCH_DIR/serial-fault.labels" "$BATCH_DIR/parallel-fault.labels" \
     || { echo "host-parallel labels differ from serial under faults"; exit 1; }
-# Both block schedulers must produce the serial bytes too: the stealing
-# deques (default) and static SM bucketing, with and without faults.
+# Both block schedulers must produce the serial bytes too: the shared
+# block dispenser (default) and static SM homes, with and without faults.
 "$ECL" components "$BATCH_DIR/eq.ecl" --algo gpu --sim-workers 3 \
     --sched steal --labels "$BATCH_DIR/steal.labels" > /dev/null
 cmp -s "$BATCH_DIR/serial.labels" "$BATCH_DIR/steal.labels" \
@@ -114,6 +114,20 @@ cmp -s "$BATCH_DIR/serial.labels" "$BATCH_DIR/static.labels" \
     --labels "$BATCH_DIR/static-fault.labels" > /dev/null
 cmp -s "$BATCH_DIR/serial-fault.labels" "$BATCH_DIR/static-fault.labels" \
     || { echo "static-scheduler labels differ from serial under faults"; exit 1; }
+# The europe_osm stand-in, a lattice, is where block order changes the
+# union-find work: one and three workers, clean and under faults, must
+# still give the serial bytes.
+"$ECL" generate europe_osm -o "$BATCH_DIR/road.ecl" --scale tiny > /dev/null
+for plan in none everything:7; do
+    "$ECL" components "$BATCH_DIR/road.ecl" --algo gpu --fault-plan "$plan" \
+        --labels "$BATCH_DIR/road-serial.labels" > /dev/null
+    for w in 1 3; do
+        "$ECL" components "$BATCH_DIR/road.ecl" --algo gpu --fault-plan "$plan" \
+            --sim-workers "$w" --labels "$BATCH_DIR/road-par.labels" > /dev/null
+        cmp -s "$BATCH_DIR/road-serial.labels" "$BATCH_DIR/road-par.labels" \
+            || { echo "europe_osm labels differ from serial ($plan, $w workers)"; exit 1; }
+    done
+done
 echo "    serial and host-parallel labels byte-identical (both schedulers)"
 
 echo "==> execution-mode equivalence suite"

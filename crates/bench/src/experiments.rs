@@ -851,7 +851,7 @@ pub fn simspeed(scale: Scale, workers: usize) -> Vec<BenchRecord> {
         });
 
         for (wi, &w) in matrix.iter().enumerate() {
-            // Both block schedulers at every worker count. The stealing
+            // Both block schedulers at every worker count. The steal
             // scheduler keeps the historical `sim-parallel:N` record name
             // (it is the default); static bucketing records as
             // `sim-static:N`. Labels from both must match serial byte for
@@ -904,8 +904,8 @@ pub fn simspeed(scale: Scale, workers: usize) -> Vec<BenchRecord> {
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     print_table(
         "simspeed — simulator wall-clock, serial vs host-parallel worker \
-         matrix (work-stealing scheduler; static-bucket records in the \
-         JSON), labels certified identical",
+         matrix (steal scheduler; static records in the JSON), labels \
+         certified identical",
         &header_refs,
         &rows,
     );

@@ -176,79 +176,6 @@ pub fn hot_paths() -> Vec<crate::report::BenchRecord> {
         gpu.reset_profiling();
     }
 
-    // --- work-stealing deque: owner-only vs thief contention -----------
-    use ecl_gpu_sim::sched::{StealResult, WorkDeque};
-    let g = Group::new("deque");
-    const DEQUE_OPS: u64 = 200_000;
-
-    let d = WorkDeque::with_capacity(1024);
-    push(
-        "deque",
-        "push-pop-local",
-        g.bench("push-pop-local", || {
-            // Owner-only LIFO churn: the fast path a worker sees between
-            // steals. 64-deep batches mirror per-SM slot counts.
-            for base in (0..DEQUE_OPS).step_by(64) {
-                for i in 0..64 {
-                    assert!(d.push(base + i));
-                }
-                while d.pop().is_some() {}
-            }
-        }),
-    );
-
-    push(
-        "deque",
-        "steal-contended",
-        g.bench("steal-contended", || {
-            // Owner pushes and pops while three thieves drain FIFO from
-            // the other end — the cross-worker cache-line traffic that
-            // bounds scheduler overhead under load imbalance.
-            let d = WorkDeque::with_capacity(1024);
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for _ in 0..3 {
-                    handles.push(s.spawn(|| {
-                        let mut got = 0u64;
-                        loop {
-                            match d.steal() {
-                                StealResult::Taken(v) => {
-                                    if v == u64::MAX {
-                                        break;
-                                    }
-                                    got += 1;
-                                }
-                                StealResult::Retry => std::hint::spin_loop(),
-                                StealResult::Empty => std::hint::spin_loop(),
-                            }
-                        }
-                        got
-                    }));
-                }
-                for base in (0..DEQUE_OPS / 8).step_by(64) {
-                    for i in 0..64 {
-                        while !d.push(base + i) {
-                            let _ = d.pop();
-                        }
-                    }
-                    for _ in 0..32 {
-                        let _ = d.pop();
-                    }
-                }
-                // One poison pill per thief ends the run.
-                let mut pills = 0;
-                while pills < 3 {
-                    if d.push(u64::MAX) {
-                        pills += 1;
-                    }
-                }
-                for h in handles {
-                    let _ = h.join();
-                }
-            });
-        }),
-    );
-
     // --- adaptive sampling: probe estimate + skip-test vs full hook ----
     let g = Group::new("sampling");
 

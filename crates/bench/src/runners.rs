@@ -61,16 +61,17 @@ pub struct CertifiedGpuRun {
     /// Certificate from the independent checker (issued *outside* the
     /// timed region — certification never contributes to `ms`).
     pub certificate: ecl_verify::Certificate,
-    /// Schedulable units (non-empty SM slots) dispatched across all
-    /// launches of the run. Zero in serial mode.
+    /// Schedulable units (one block's worth of an SM's work) dispatched
+    /// across all launches of the run. Zero in serial mode.
     pub sched_units: u64,
-    /// Units executed by a worker other than the one they were dealt to
-    /// (work-stealing scheduler only; zero for static and serial).
+    /// Units run by a worker other than their SM's home worker (steal
+    /// scheduler only; zero for static, one thread, and serial).
     pub steal_count: u64,
 }
 
 impl CertifiedGpuRun {
-    /// Fraction of schedulable units that were stolen, in percent.
+    /// Fraction of schedulable units run off their home worker, in
+    /// percent.
     pub fn blocks_stolen_pct(&self) -> f64 {
         if self.sched_units == 0 {
             0.0

@@ -25,6 +25,26 @@ pub mod profile;
 
 pub use ecl_graph::io::Format;
 
+/// Writes summary output to stdout. A reader that went away
+/// (`ecl-cc components g.el --labels L | head -1`) is not an error:
+/// `BrokenPipe` drops the text, so the command still writes its files
+/// and exits 0. Any other write error is returned.
+pub fn print_out(args: std::fmt::Arguments<'_>) -> Result<(), String> {
+    use std::io::Write as _;
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
+/// `println!` through [`print_out`]; evaluates to its `Result`.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::print_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Reads a graph file in the given (or inferred) format.
 pub fn read_graph(path: &Path, format: Option<Format>) -> Result<CsrGraph, String> {
     io::read_path(path, format)

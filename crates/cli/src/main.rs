@@ -2,8 +2,8 @@
 
 use ecl_cc::SamplingConfig;
 use ecl_cc_cli::{
-    generate_catalog, parse_label_file, read_graph, run_algorithm, run_algorithm_cfg,
-    run_gpu_observed, run_ladder_obs, write_graph, Format, ALGORITHMS,
+    generate_catalog, outln, parse_label_file, print_out, read_graph, run_algorithm,
+    run_algorithm_cfg, run_gpu_observed, run_ladder_obs, write_graph, Format, ALGORITHMS,
 };
 use ecl_gpu_sim::{ExecMode, FaultPlan, SchedMode};
 use ecl_obs::{Recorder, TraceEvent, PID_ENGINE};
@@ -30,7 +30,8 @@ commands:
       (0 = one per core) — labels stay certified-identical, cycle counts
       become indicative only; omit it for deterministic serial timing;
       --sched picks the host-parallel block scheduler: steal (default,
-      work-stealing deques) or static (fixed SM buckets) — results are
+      any free worker takes the next block) or static (each SM stays on
+      one home worker) — results are
       byte-identical either way;
       --trace FILE writes a Chrome trace (kernel + ladder spans);
       --stats prints per-kernel cycles and parent-path-length stats
@@ -113,11 +114,12 @@ commands:
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        print!("{USAGE}");
-        return;
-    }
-    if let Err(e) = dispatch(&args) {
+    let run = if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
+        print_out(format_args!("{USAGE}"))
+    } else {
+        dispatch(&args)
+    };
+    if let Err(e) = run {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
@@ -167,8 +169,9 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         ),
         None => ExecMode::Serial,
     };
-    // Host-parallel block scheduler: work-stealing deques unless --sched
-    // asks for static SM bucketing. Results are identical either way.
+    // Host-parallel block scheduler: any free worker takes the next block
+    // unless --sched asks for static SM homes. Labels are identical either
+    // way.
     let sim_sched: SchedMode = match flag(args, "--sched") {
         Some(v) => SchedMode::parse(&v).map_err(|e| format!("--sched: {e}"))?,
         None => SchedMode::default(),
@@ -224,7 +227,10 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             }
             let recorder = trace_out.as_ref().map(|_| Recorder::new());
             let t = Instant::now();
-            let (r, how, gpu_stats) = if let Some(n) = shards {
+            // `certified` carries the component count of a certificate the
+            // run already issued (the ladder certifies what it accepts);
+            // every other path is certified once below.
+            let (r, how, gpu_stats, certified) = if let Some(n) = shards {
                 let ckpt = flag(args, "--shard-ckpt").map(PathBuf::from);
                 let budget: u32 = flag(args, "--crash-budget")
                     .map(|v| v.parse().map_err(|e| format!("--crash-budget: {e}")))
@@ -268,7 +274,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 } else {
                     format!("sharded:{n}")
                 };
-                (out.result, how, None)
+                (out.result, how, None, None)
             } else if algo == "auto" {
                 let out = run_ladder_obs(
                     &g,
@@ -289,7 +295,8 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                         );
                     }
                 }
-                (out.result, format!("auto:{}", out.backend.name()), None)
+                let how = format!("auto:{}", out.backend.name());
+                (out.result, how, None, Some(out.certificate.num_components))
             } else if algo == "gpu"
                 && (watchdog.is_some()
                     || flag(args, "--fault-plan").is_some()
@@ -311,7 +318,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                 } else {
                     "gpu".to_string()
                 };
-                (r, how, Some(stats))
+                (r, how, Some(stats), None)
             } else {
                 let span_start = recorder.as_ref().map(Recorder::now_us);
                 let r = run_algorithm_cfg(&algo, &g, threads, sim_exec, sim_sched, sampling)?;
@@ -325,41 +332,48 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                         rec.now_us().saturating_sub(start),
                     ));
                 }
-                (r, algo.clone(), None)
+                (r, algo.clone(), None, None)
             };
             let elapsed = t.elapsed();
-            ecl_verify::certify(&g, &r.labels).map_err(|e| format!("verification failed: {e}"))?;
-            println!(
+            let components = match certified {
+                Some(n) => n,
+                None => {
+                    ecl_verify::certify(&g, &r.labels)
+                        .map_err(|e| format!("verification failed: {e}"))?
+                        .num_components
+                }
+            };
+            outln!(
                 "{}: {} vertices, {} edges, {} components ({how}, {:.2} ms, certified)",
                 path.display(),
                 g.num_vertices(),
                 g.num_edges(),
-                r.num_components(),
+                components,
                 elapsed.as_secs_f64() * 1e3
-            );
+            )?;
             let sizes = r.component_sizes();
-            println!(
+            outln!(
                 "largest component: {} vertices ({:.1}%)",
                 sizes.first().copied().unwrap_or(0),
                 100.0 * sizes.first().copied().unwrap_or(0) as f64 / g.num_vertices().max(1) as f64
-            );
+            )?;
             if want_stats {
                 if let Some(stats) = &gpu_stats {
-                    println!("kernel cycles:");
+                    outln!("kernel cycles:")?;
                     for k in &stats.kernels {
-                        println!("  {:<14} {:>12}", k.name, k.cycles);
+                        outln!("  {:<14} {:>12}", k.name, k.cycles)?;
                     }
-                    println!("  {:<14} {:>12}", "total", stats.total_cycles());
+                    outln!("  {:<14} {:>12}", "total", stats.total_cycles())?;
                     if let Some(p) = &stats.path_lengths {
-                        println!(
+                        outln!(
                             "parent path lengths: {} samples, avg {:.2}, max {}",
                             p.samples,
                             p.average(),
                             p.max
-                        );
+                        )?;
                     }
                     if let Some(s) = &stats.sampling {
-                        println!(
+                        outln!(
                             "sampling: {} edges inspected of {} ({:.1}% reduction), \
                              {} of {} vertices skipped ({:.1}%)",
                             s.edges_inspected(),
@@ -368,7 +382,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                             s.skipped_vertices,
                             s.vertices,
                             100.0 * s.skip_fraction()
-                        );
+                        )?;
                     }
                 }
             }
@@ -389,7 +403,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                     std::io::Write::flush(&mut w)
                 };
                 write().map_err(|e| format!("{out}: {e}"))?;
-                println!("labels written to {out}");
+                outln!("labels written to {out}")?;
             }
             Ok(())
         }
@@ -478,7 +492,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                     std::fs::write(&out, &json).map_err(|e| format!("{out}: {e}"))?;
                     eprintln!("report written to {out}");
                 }
-                None => println!("{json}"),
+                None => outln!("{json}")?,
             }
             eprintln!(
                 "batch: {}/{} jobs done ({} resumed, {} failed), {} retries, \
@@ -557,7 +571,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let server = ecl_serve::Server::start(cfg)?;
             // The harness (and ci.sh) parse this line for the ephemeral
             // port, so it goes to stdout and is flushed immediately.
-            println!("listening on {}", server.local_addr());
+            outln!("listening on {}", server.local_addr())?;
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
             server.join()?;
@@ -582,14 +596,14 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             };
             match ecl_verify::certify(&g, &labels) {
                 Ok(cert) => {
-                    println!(
+                    outln!(
                         "OK: {source} certifies on {} ({} vertices, {} edges checked, \
                          {} components)",
                         path.display(),
                         cert.num_vertices,
                         cert.edges_checked,
                         cert.num_components
-                    );
+                    )?;
                     Ok(())
                 }
                 Err(e) => Err(format!("certification FAILED for {source}: {e}")),
@@ -599,13 +613,15 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let path = positional(args, 0)?;
             let g = read_graph(&path, fmt_flag(args, "--format")?)?;
             let s = ecl_graph::stats::graph_stats(&g);
-            println!("vertices:       {}", s.vertices);
-            println!("directed edges: {}", s.directed_edges);
-            println!(
+            outln!("vertices:       {}", s.vertices)?;
+            outln!("directed edges: {}", s.directed_edges)?;
+            outln!(
                 "degree min/avg/max: {} / {:.1} / {}",
-                s.dmin, s.davg, s.dmax
-            );
-            println!("components:     {}", s.components);
+                s.dmin,
+                s.davg,
+                s.dmax
+            )?;
+            outln!("components:     {}", s.components)?;
             Ok(())
         }
         "generate" => {
@@ -614,12 +630,12 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let scale = flag(args, "--scale").unwrap_or_else(|| "bench".into());
             let g = generate_catalog(name.to_str().unwrap_or_default(), &scale)?;
             write_graph(&g, &PathBuf::from(&out), fmt_flag(args, "--format")?)?;
-            println!(
+            outln!(
                 "wrote {} ({} vertices, {} edges)",
                 out,
                 g.num_vertices(),
                 g.num_edges()
-            );
+            )?;
             Ok(())
         }
         "convert" => {
@@ -627,19 +643,19 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let output = positional(args, 1)?;
             let g = read_graph(&input, fmt_flag(args, "--in-format")?)?;
             write_graph(&g, &output, fmt_flag(args, "--out-format")?)?;
-            println!("converted {} -> {}", input.display(), output.display());
+            outln!("converted {} -> {}", input.display(), output.display())?;
             Ok(())
         }
         "compare" => {
             let path = positional(args, 0)?;
             let g = read_graph(&path, fmt_flag(args, "--format")?)?;
-            println!(
+            outln!(
                 "{}: {} vertices, {} edges — running {} algorithms",
                 path.display(),
                 g.num_vertices(),
                 g.num_edges(),
                 ALGORITHMS.len()
-            );
+            )?;
             let reference = run_algorithm("serial", &g, threads)?;
             for &name in ALGORITHMS {
                 let t = Instant::now();
@@ -648,23 +664,23 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                         let ms = t.elapsed().as_secs_f64() * 1e3;
                         let agree = ecl_graph::stats::canonicalize_labels(&r.labels)
                             == ecl_graph::stats::canonicalize_labels(&reference.labels);
-                        println!(
+                        outln!(
                             "  {name:<11} {ms:>9.2} ms  {} components  {}",
                             r.num_components(),
                             if agree { "agrees" } else { "DISAGREES" }
-                        );
+                        )?;
                     }
-                    Err(e) => println!("  {name:<11} n/a ({e})"),
+                    Err(e) => outln!("  {name:<11} n/a ({e})")?,
                 }
             }
             Ok(())
         }
         "list" => {
-            println!("algorithms: {}", ALGORITHMS.join(", "));
-            println!("catalog graphs:");
+            outln!("algorithms: {}", ALGORITHMS.join(", "))?;
+            outln!("catalog graphs:")?;
             for pg in ecl_graph::catalog::PaperGraph::ALL {
                 let i = pg.info();
-                println!("  {:<18} {} ({})", i.name, i.class, i.paper_vertices);
+                outln!("  {:<18} {} ({})", i.name, i.class, i.paper_vertices)?;
             }
             Ok(())
         }

@@ -176,7 +176,7 @@ pub fn run_profile(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--report")
         || (flag("--trace").is_none() && flag("--metrics").is_none())
     {
-        print!("{report}");
+        crate::print_out(format_args!("{report}"))?;
     }
 
     let trace_out = flag("--trace");

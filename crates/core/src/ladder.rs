@@ -74,8 +74,8 @@ pub struct LadderConfig {
     /// determinism for wall-clock throughput — safe here because every
     /// ladder answer is certified before being accepted.
     pub exec: ExecMode,
-    /// Block scheduler for host-parallel GPU launches: static SM
-    /// bucketing or the work-stealing deques (the default). Irrelevant to
+    /// Block scheduler for host-parallel GPU launches: static SM homes or
+    /// any free worker taking the next block (the default). Irrelevant to
     /// results — both schedules are byte-identical — so this is a pure
     /// throughput knob.
     pub sched: SchedMode,

@@ -4,22 +4,22 @@
 //! Two execution modes are supported (see [`ExecMode`]): the default
 //! serial mode runs every warp on the calling thread in a deterministic
 //! order and is the reference for all timing/profiling numbers; the
-//! host-parallel mode runs each simulated SM's warps on a real host
-//! thread for wall-clock throughput, trading shared-L2 modelling fidelity
-//! for speed while preserving the simulated machine's semantics (real
-//! atomics, per-SM L1s, and the modelled L2 capacity statically sliced
-//! per SM so workers never contend on a lock or a cache line).
+//! host-parallel mode runs the blocks on real host threads, in serial
+//! block order, for wall-clock throughput, trading shared-L2 modelling
+//! fidelity for speed while preserving the simulated machine's semantics
+//! (real atomics, per-SM L1s, and the modelled L2 capacity statically
+//! sliced per SM so workers never contend on a lock or a cache line).
 
 use crate::cache::{Cache, CacheStats};
 use crate::error::{SimError, WatchdogAbort};
 use crate::fault::{FaultPlan, FaultRng};
 use crate::mem::{DevicePtr, GlobalMemory};
 use crate::profile::DeviceProfile;
-use crate::sched::{SchedMode, StealResult, WorkDeque};
+use crate::sched::SchedMode;
 use crate::warp::{BlockCtx, SmView, WarpCtx};
 use crate::{Lanes, LANES};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 
 std::thread_local! {
     /// True while a `try_launch_*` call is on this thread's stack — the
@@ -81,8 +81,9 @@ impl Drop for TryLaunchScope {
 ///   fixed order. Cycles, cache stats, fault injection, and watchdog
 ///   behaviour are bit-for-bit reproducible — all timing experiments use
 ///   this mode.
-/// * `HostParallel(workers)` runs each simulated SM's warps on real host
-///   threads (`workers` of them; `0` = one per available core). Final
+/// * `HostParallel(workers)` runs the launch's blocks on real host
+///   threads (`workers` of them; `0` = one per available core), handed
+///   out in serial block order, each against its own SM's state. Final
 ///   memory contents for order-independent algorithms (ECL-CC's min-wins
 ///   hooking) are byte-identical to serial mode. The modelled L2 is
 ///   statically sliced per SM, so cycle counts and cache stats do not
@@ -298,11 +299,11 @@ pub struct Gpu {
     /// first use, parked on a channel between launches, reused across
     /// kernels, joined when the device drops.
     pool: WorkerPool,
-    /// Cumulative work units (SM slots with at least one warp/block)
+    /// Cumulative work units (one block's worth of an SM's items)
     /// scheduled by host-parallel launches since the last profiling reset.
     sched_units: u64,
-    /// Cumulative units claimed by a steal (rather than popped from the
-    /// owner's deque) since the last profiling reset.
+    /// Cumulative units run off their home worker since the last
+    /// profiling reset.
     steals: u64,
     /// Per-launch scratch for the warp/block execution order, reused
     /// across launches to avoid a fresh allocation per kernel.
@@ -470,7 +471,9 @@ impl LaunchCounters {
 }
 
 /// One simulated SM's exclusive state, detached from the [`Gpu`] for the
-/// duration of a host-parallel launch so a worker thread can own it.
+/// duration of a host-parallel launch. It lives in its own lock for the
+/// whole launch: a worker holds that lock while it runs one step of the
+/// SM's item list.
 struct SmSlot {
     sm: usize,
     l1: Cache,
@@ -480,6 +483,8 @@ struct SmSlot {
     counters: LaunchCounters,
     rng: FaultRng,
     items: Vec<usize>,
+    /// The next step (one block's worth of `items`) to run.
+    next: usize,
 }
 
 /// Everything one host-parallel launch shares with the pool workers.
@@ -493,19 +498,27 @@ struct ParallelLaunch<R> {
     watchdog: Option<u64>,
     launch: u64,
     sched: SchedMode,
-    /// One cell per SM, in SM order. A slot is taken out by exactly one
-    /// worker (whoever pops or steals its index), run to completion, and
-    /// put back — so each lock is acquired twice, uncontended.
-    slots: Vec<Mutex<Option<SmSlot>>>,
-    /// One work-stealing deque per worker, seeded with slot indices.
-    deques: Vec<WorkDeque>,
-    /// Seeded round-robin start victim per worker, fixed for the launch.
-    victim_start: Vec<usize>,
+    /// OS threads running the launch. Worker `w` is the home worker of
+    /// the SMs `s` with `s % workers == w`.
+    workers: usize,
+    /// Items per unit: one block's worth of a slot's item list.
+    step: usize,
+    /// Units in serial order: unit `u` is step `u / num_sms` of SM
+    /// `u % num_sms`, which is block `u` of an unshuffled launch.
+    units: usize,
+    /// Next unit to hand out under [`SchedMode::Steal`]. `Relaxed` is
+    /// enough: the cursor publishes no data, and a slot's state passes
+    /// between workers through the slot's lock.
+    cursor: AtomicUsize,
+    /// Steps per SM, fixed for the launch, readable without the slot lock.
+    steps: Vec<usize>,
+    /// One cell per SM, in SM order.
+    slots: Vec<Mutex<SmSlot>>,
     run_item: R,
     abort: AtomicBool,
     /// First abort payload (watchdog / OOB / kernel bug) wins.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Slots claimed via steal rather than a local pop.
+    /// Units run by a worker other than their SM's home worker.
     steals: AtomicU64,
 }
 
@@ -513,7 +526,7 @@ impl<R> ParallelLaunch<R>
 where
     R: Fn(&mut SmView<'_>, usize) + Send + Sync + 'static,
 {
-    /// Worker entry point: drains work under the launch guard, catching
+    /// Worker entry point: runs units under the launch guard, catching
     /// aborts so the first payload is preserved for classification and
     /// the other workers stop at their next item boundary.
     fn run_worker(&self, w: usize) {
@@ -530,97 +543,78 @@ where
         }
     }
 
-    /// Pop local slots LIFO; when dry (and stealing is enabled), sweep
-    /// victims round-robin from this worker's seeded start. Terminates
-    /// when every deque reads empty with no steal race in flight — all
-    /// pushes happen before workers start, so that state is final.
+    /// Takes units in serial order until none are left: under
+    /// [`SchedMode::Steal`] the next unit off the shared cursor, under
+    /// [`SchedMode::Static`] the next unit of one of this worker's home
+    /// SMs. Units past the end of their SM's item list are skipped.
     fn work_loop(&self, w: usize) {
-        let n = self.deques.len();
+        let num_sms = self.slots.len();
+        let mut own = 0;
         loop {
             if self.abort.load(Ordering::Relaxed) {
                 return;
             }
-            if let Some(idx) = self.deques[w].pop() {
-                self.run_slot(idx as usize);
-                continue;
-            }
-            if self.sched == SchedMode::Static {
+            let u = match self.sched {
+                SchedMode::Steal => self.cursor.fetch_add(1, Ordering::Relaxed),
+                SchedMode::Static => {
+                    own += 1;
+                    own - 1
+                }
+            };
+            if u >= self.units {
                 return;
             }
-            let mut stolen = None;
-            let mut saw_retry = false;
-            for k in 0..n {
-                let v = (self.victim_start[w] + k) % n;
-                if v == w {
-                    continue;
-                }
-                match self.deques[v].steal() {
-                    StealResult::Taken(idx) => {
-                        stolen = Some(idx);
-                        break;
-                    }
-                    StealResult::Retry => saw_retry = true,
-                    StealResult::Empty => {}
-                }
+            let (k, sm) = (u / num_sms, u % num_sms);
+            let home = sm % self.workers == w;
+            if k >= self.steps[sm] || (self.sched == SchedMode::Static && !home) {
+                continue;
             }
-            match stolen {
-                Some(idx) => {
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                    self.run_slot(idx as usize);
-                }
-                None if saw_retry => std::hint::spin_loop(),
-                None => return,
+            if !home {
+                self.steals.fetch_add(1, Ordering::Relaxed);
             }
+            self.run_step(sm);
         }
     }
 
-    /// Runs every item of one slot against that slot's own caches,
-    /// counters, and RNG. The slot is taken out of its cell for the
-    /// duration and always put back — even when the kernel body panics —
-    /// so the launch can merge a structurally complete device afterwards.
-    fn run_slot(&self, idx: usize) {
-        let mut slot = self.slots[idx]
+    /// Runs the next step of one SM against that SM's own caches,
+    /// counters, and RNG. A worker that claimed a later step while an
+    /// earlier one still runs blocks on the lock rather than spinning;
+    /// whoever holds the lock runs the slot's *next* step, so an SM's
+    /// steps run in order and one at a time. A panic poisons the lock but
+    /// leaves the slot in its cell, so the launch always merges a whole
+    /// device afterwards. Recovering the guard from a poisoned lock is
+    /// sound: the simulator's own panics (the watchdog check, the memory
+    /// bounds check) never interrupt a cache update, and an aborted
+    /// launch's counters are discarded anyway.
+    fn run_step(&self, sm: usize) {
+        let mut guard = self.slots[sm]
             .lock()
-            .expect("slot lock")
-            .take()
-            .expect("each slot is scheduled exactly once");
-        let items = std::mem::take(&mut slot.items);
-        let outcome = {
-            let slot = &mut slot;
-            let items = &items;
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                // One view per slot, not per item — items only ever
-                // reborrow it, so the construction cost is hoisted out
-                // of the warp loop.
-                let mut view = SmView {
-                    mem: &self.mem,
-                    l2: &mut slot.l2,
-                    l1: &mut slot.l1,
-                    cycles: &mut slot.cycles,
-                    launch_start: slot.start,
-                    watchdog: self.watchdog,
-                    counters: &mut slot.counters,
-                    fault: self.fault,
-                    rng: &mut slot.rng,
-                    profile: &self.profile,
-                    sm: slot.sm,
-                };
-                for &item in items.iter() {
-                    if self.abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    // Reseed per block: every injection draw is a pure
-                    // function of (seed, launch, block) — independent of
-                    // which worker ran the block or in what order.
-                    *view.rng = FaultRng::for_block(self.fault.seed, self.launch, item);
-                    (self.run_item)(&mut view, item);
-                }
-            }))
+            .unwrap_or_else(PoisonError::into_inner);
+        let slot = &mut *guard;
+        let lo = slot.next * self.step;
+        slot.next += 1;
+        let items = &slot.items[lo..(lo + self.step).min(slot.items.len())];
+        let mut view = SmView {
+            mem: &self.mem,
+            l2: &mut slot.l2,
+            l1: &mut slot.l1,
+            cycles: &mut slot.cycles,
+            launch_start: slot.start,
+            watchdog: self.watchdog,
+            counters: &mut slot.counters,
+            fault: self.fault,
+            rng: &mut slot.rng,
+            profile: &self.profile,
+            sm: slot.sm,
         };
-        slot.items = items;
-        *self.slots[idx].lock().expect("slot lock") = Some(slot);
-        if let Err(payload) = outcome {
-            std::panic::resume_unwind(payload);
+        for &item in items {
+            if self.abort.load(Ordering::Relaxed) {
+                return;
+            }
+            // Reseed per item: every injection draw is a pure function
+            // of (seed, launch, item), whichever worker runs it.
+            *view.rng = FaultRng::for_block(self.fault.seed, self.launch, item);
+            (self.run_item)(&mut view, item);
         }
     }
 }
@@ -768,10 +762,11 @@ impl Gpu {
         self.exec
     }
 
-    /// Selects how host-parallel launches distribute SM slots over
-    /// workers (see [`SchedMode`]; the default is work stealing). Results
-    /// — labels, per-SM cycles, cache stats, fault draws — are identical
-    /// in both modes; only wall-clock load balance differs. Serial mode
+    /// Selects which workers may take the units of a host-parallel launch
+    /// (see [`SchedMode`]; by default any free worker takes the next
+    /// unit). Both modes run units in the same serial order, so labels,
+    /// per-SM cache stats and fault draws of race-free kernels are
+    /// identical; only wall-clock load balance differs. Serial mode
     /// ignores the scheduler entirely.
     pub fn set_sched_mode(&mut self, mode: SchedMode) {
         self.sched = mode;
@@ -785,24 +780,26 @@ impl Gpu {
     /// Overrides (or with `None` restores) the detected host parallelism
     /// used to size the worker pool. A test/tuning knob: values above the
     /// physical core count oversubscribe the host (useful to exercise the
-    /// real pool + deque path on small CI machines); values below it cap
-    /// the threads a launch may occupy. Simulated results are identical
-    /// either way.
+    /// real pool path on small CI machines); values below it cap
+    /// the threads a launch may occupy. Labels are identical either way;
+    /// on one thread a launch runs its blocks in exactly the serial order.
     pub fn set_host_threads_override(&mut self, threads: Option<usize>) {
         self.host_threads_override = threads;
     }
 
-    /// Work units (SM slots with at least one warp/block) scheduled by
-    /// host-parallel launches since construction or the last
+    /// Work units (one block's worth of an SM's warps, or one block)
+    /// scheduled by host-parallel launches since construction or the last
     /// [`Self::reset_profiling`].
     pub fn sched_unit_count(&self) -> u64 {
         self.sched_units
     }
 
-    /// Units claimed via work stealing (rather than popped from the
-    /// owning worker's deque) since construction or the last
+    /// Units run by a worker other than their SM's home worker
+    /// (`sm % workers`) since construction or the last
     /// [`Self::reset_profiling`]. Always 0 under [`SchedMode::Static`]
-    /// and on single-threaded launches.
+    /// and on single-threaded launches; under [`SchedMode::Steal`] about
+    /// `(workers - 1) / workers` of all units, since any free worker
+    /// takes the next unit.
     pub fn steal_count(&self) -> u64 {
         self.steals
     }
@@ -1025,7 +1022,7 @@ impl Gpu {
                     items[(wid / warps_per_block) % num_sms].push(wid);
                 }
                 let total = total_threads as u32;
-                self.launch_parallel(name, workers, items, move |view, wid| {
+                self.launch_parallel(name, workers, items, warps_per_block, move |view, wid| {
                     let base = (wid * LANES) as u32;
                     let active =
                         crate::Mask::first(total_threads.saturating_sub(wid * LANES).min(LANES));
@@ -1056,7 +1053,7 @@ impl Gpu {
                 for b in 0..num_blocks {
                     items[b % num_sms].push(b);
                 }
-                self.launch_parallel(name, workers, items, move |view, b| {
+                self.launch_parallel(name, workers, items, 1, move |view, b| {
                     let mut ctx = BlockCtx::new(view.reborrow(), b, num_blocks);
                     body(&mut ctx);
                 })
@@ -1066,32 +1063,36 @@ impl Gpu {
 
     /// The host-parallel launch engine. Detaches each SM's exclusive state
     /// — its L1, its private L2 slice, its cycle counter, its stat
-    /// counters, and its fault-RNG stream — into an [`SmSlot`], then runs
-    /// the slots to completion on the persistent worker pool under the
-    /// active [`SchedMode`]: every worker owns a Chase–Lev deque seeded
-    /// round-robin with slot indices, pops its own slots LIFO, and (in
-    /// steal mode) steals FIFO from victims chosen by seeded round-robin
-    /// when its deque runs dry. The *schedulable unit is a whole SM slot*:
-    /// whichever worker claims a slot runs all of its warps/blocks against
-    /// that slot's own L1, L2 slice, counters, and fault-RNG stream, so
-    /// per-SM stats are byte-identical whatever the schedule. Fault draws
-    /// are reseeded per block from `(seed, launch, block)`
+    /// counters, and its fault-RNG stream — into an [`SmSlot`], then
+    /// dispenses *units* to the persistent worker pool in the order the
+    /// serial launch runs them: step `k` of SM `s`, `k`-major and
+    /// `s`-minor, where one step is `step` items (one block's worth) of
+    /// the SM's item list. Under [`SchedMode::Steal`] any free worker
+    /// takes the next unit off one shared cursor; under
+    /// [`SchedMode::Static`] worker `w` takes, in the same order, only
+    /// the units of its home SMs (`s % workers == w`). A unit always runs
+    /// against its own SM's L1, L2 slice, counters, and fault-RNG stream,
+    /// and an SM's steps run in order and never at once, so per-SM stats
+    /// do not depend on the schedule. Fault draws are reseeded per item
     /// ([`FaultRng::for_block`]), so injection is schedule-free too.
+    ///
+    /// The order matters beyond wall-clock: ECL-CC's union-find paths
+    /// grow with the order vertices are hooked in, so running blocks in
+    /// serial order keeps the simulated work near serial mode's. On one
+    /// OS thread the same loop runs inline on the calling thread, with
+    /// no pool, in exactly the serial order.
+    ///
     /// All slots are merged back once at kernel end — even when a worker
     /// aborted, so the device stays structurally valid for the caller's
-    /// recovery path. Workers share nothing mutable but global memory
-    /// (real atomics), the deques, and the abort flag; worker 0 runs
-    /// inline on the calling thread. On a single OS thread the engine
-    /// skips the pool entirely and steps the slots in lockstep (item 0 of
-    /// every SM, then item 1, …), which walks global memory in near-serial
-    /// block order and keeps the host's caches warm.
-    /// The first abort payload is classified into a [`SimError`] exactly
-    /// like a serial abort; other workers stop at the next item boundary.
+    /// recovery path. The first abort payload is classified into a
+    /// [`SimError`] exactly like a serial abort; the other workers stop
+    /// at their next item boundary.
     fn launch_parallel<R>(
         &mut self,
         name: &str,
         workers: usize,
         items_per_sm: Vec<Vec<usize>>,
+        step: usize,
         run_item: R,
     ) -> Result<KernelStats, SimError>
     where
@@ -1108,40 +1109,10 @@ impl Gpu {
         }
         .min(num_sms)
         .max(1);
-
-        let l1s = std::mem::take(&mut self.l1);
-        let l2s = match &mut self.l2 {
-            L2Store::PerSm(v) => std::mem::take(v),
-            L2Store::Excl(_) => unreachable!("host-parallel launch requires the per-SM L2"),
-        };
-        let mut slots: Vec<SmSlot> = Vec::with_capacity(num_sms);
-        for (sm, ((l1, l2), mut items)) in l1s.into_iter().zip(l2s).zip(items_per_sm).enumerate() {
-            // The per-SM stream is only used for the scheduler-chaos
-            // shuffle of the slot's own item order; execution below
-            // reseeds per block, so draws never depend on the schedule.
-            let mut rng = FaultRng::for_sm(self.fault.seed, self.launch_index, sm);
-            if self.fault.shuffle_warps {
-                rng.shuffle(&mut items);
-            }
-            slots.push(SmSlot {
-                sm,
-                l1,
-                l2,
-                cycles: self.sm_cycles[sm],
-                start: self.launch_start_sm[sm],
-                counters: LaunchCounters::default(),
-                rng,
-                items,
-            });
-        }
-        self.sched_units += slots.iter().filter(|s| !s.items.is_empty()).count() as u64;
-
-        // Which slot runs on which OS thread is unobservable: slots are
-        // self-contained and interact only through real atomics on global
-        // memory. So never run more OS threads than min(workers, cores) —
-        // extra threads would only add context-switch cost. On a
-        // single-core host every slot runs inline on the calling thread
-        // and a parallel launch touches no threads at all.
+        // Which unit runs on which OS thread is unobservable beyond the
+        // interleaving of real atomics on global memory, so never run more
+        // OS threads than min(workers, cores): extra threads would only
+        // add context-switch cost.
         let host_threads = self
             .host_threads_override
             .unwrap_or_else(|| {
@@ -1152,149 +1123,88 @@ impl Gpu {
             .max(1);
         let os_threads = nworkers.min(host_threads).max(1);
 
-        let first_panic = if os_threads == 1 {
-            let mem = &self.mem;
-            let profile = &self.profile;
-            let fault = self.fault;
-            let watchdog = self.watchdog;
-            let launch = self.launch_index;
-            let abort = AtomicBool::new(false);
-            let slots = &mut slots;
-            // Single OS thread: step the slots in lockstep (item 0 of
-            // every SM, then item 1, ...) instead of SM-major order. Each
-            // slot still sees exactly its own item sequence — per-slot
-            // caches, RNG streams, and cycle counters are order-
-            // independent across slots — but global memory is walked in
-            // near-serial block order, which keeps the *host's* caches
-            // warm on large graphs instead of sweeping the whole graph
-            // once per SM.
-            let _guard = TryLaunchScope::enter();
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let items: Vec<Vec<usize>> = slots
-                    .iter_mut()
-                    .map(|s| std::mem::take(&mut s.items))
-                    .collect();
-                {
-                    let mut views: Vec<SmView<'_>> = slots
-                        .iter_mut()
-                        .map(|slot| SmView {
-                            mem,
-                            l2: &mut slot.l2,
-                            l1: &mut slot.l1,
-                            cycles: &mut slot.cycles,
-                            launch_start: slot.start,
-                            watchdog,
-                            counters: &mut slot.counters,
-                            fault,
-                            rng: &mut slot.rng,
-                            profile,
-                            sm: slot.sm,
-                        })
-                        .collect();
-                    let depth = items.iter().map(|v| v.len()).max().unwrap_or(0);
-                    'outer: for k in 0..depth {
-                        for (view, its) in views.iter_mut().zip(&items) {
-                            if let Some(&item) = its.get(k) {
-                                if abort.load(Ordering::Relaxed) {
-                                    break 'outer;
-                                }
-                                // Same per-block reseed as the pool path,
-                                // so stats and fault draws are identical
-                                // whether or not real threads ran.
-                                *view.rng = FaultRng::for_block(fault.seed, launch, item);
-                                run_item(view, item);
-                            }
-                        }
-                    }
-                }
-                for (slot, its) in slots.iter_mut().zip(items) {
-                    slot.items = its;
-                }
-            }))
-            .err()
-        } else {
-            // Move the slots into per-slot cells and global memory into an
-            // `Arc` so the 'static pool workers can share them; both are
-            // reclaimed right after the last worker signals done (jobs
-            // drop their `Arc` before signalling).
-            let shared = Arc::new(ParallelLaunch {
-                mem: Arc::new(std::mem::take(&mut self.mem)),
-                profile: self.profile.clone(),
-                fault: self.fault,
-                watchdog: self.watchdog,
-                launch: self.launch_index,
-                sched: self.sched,
-                slots: slots.drain(..).map(|s| Mutex::new(Some(s))).collect(),
-                deques: (0..os_threads)
-                    .map(|_| WorkDeque::with_capacity(num_sms))
-                    .collect(),
-                victim_start: (0..os_threads)
-                    .map(|w| {
-                        let mut rng = FaultRng::new(
-                            self.fault.seed ^ 0x57ea1,
-                            self.launch_index.wrapping_add(w as u64),
-                        );
-                        rng.below(os_threads as u64) as usize
-                    })
-                    .collect(),
-                run_item,
-                abort: AtomicBool::new(false),
-                panic: Mutex::new(None),
-                steals: AtomicU64::new(0),
-            });
-            // Deal slots with work round-robin onto the worker deques.
-            let mut dealt = 0usize;
-            for (idx, cell) in shared.slots.iter().enumerate() {
-                let has_work = cell
-                    .lock()
-                    .expect("slot lock")
-                    .as_ref()
-                    .is_some_and(|s| !s.items.is_empty());
-                if has_work {
-                    let pushed = shared.deques[dealt % os_threads].push(idx as u64);
-                    debug_assert!(pushed, "deque sized to num_sms cannot overflow");
-                    dealt += 1;
-                }
+        let l1s = std::mem::take(&mut self.l1);
+        let l2s = match &mut self.l2 {
+            L2Store::PerSm(v) => std::mem::take(v),
+            L2Store::Excl(_) => unreachable!("host-parallel launch requires the per-SM L2"),
+        };
+        let mut slots = Vec::with_capacity(num_sms);
+        let mut steps = Vec::with_capacity(num_sms);
+        for (sm, ((l1, l2), mut items)) in l1s.into_iter().zip(l2s).zip(items_per_sm).enumerate() {
+            // The per-SM stream is only used for the scheduler-chaos
+            // shuffle of the slot's own item order; execution reseeds per
+            // item, so draws never depend on the schedule.
+            let mut rng = FaultRng::for_sm(self.fault.seed, self.launch_index, sm);
+            if self.fault.shuffle_warps {
+                rng.shuffle(&mut items);
             }
-            let jobs: Vec<PoolJob> = (1..os_threads)
-                .map(|w| {
-                    let sh = Arc::clone(&shared);
-                    Box::new(move || sh.run_worker(w)) as PoolJob
-                })
-                .collect();
-            let pending = jobs.len();
-            self.pool.dispatch(jobs);
-            // Worker 0 runs inline on the calling thread.
-            shared.run_worker(0);
-            self.pool.wait(pending);
+            steps.push(items.len().div_ceil(step));
+            slots.push(Mutex::new(SmSlot {
+                sm,
+                l1,
+                l2,
+                cycles: self.sm_cycles[sm],
+                start: self.launch_start_sm[sm],
+                counters: LaunchCounters::default(),
+                rng,
+                items,
+                next: 0,
+            }));
+        }
+        self.sched_units += steps.iter().sum::<usize>() as u64;
 
-            let launch = match Arc::try_unwrap(shared) {
-                Ok(l) => l,
-                Err(_) => unreachable!("pool workers hold no launch refs after done"),
-            };
-            self.steals += launch.steals.load(Ordering::Relaxed);
-            self.mem = match Arc::try_unwrap(launch.mem) {
-                Ok(m) => m,
-                Err(_) => unreachable!("pool workers hold no memory refs after done"),
-            };
-            for cell in launch.slots {
-                let slot = cell
-                    .into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every slot is restored after its run");
-                slots.push(slot);
-            }
-            launch.panic.into_inner().unwrap_or_else(|e| e.into_inner())
+        // Move the slots and global memory into an `Arc` so the 'static
+        // pool workers can share them; both are reclaimed right after the
+        // last worker signals done (jobs drop their `Arc` before
+        // signalling).
+        let shared = Arc::new(ParallelLaunch {
+            mem: Arc::new(std::mem::take(&mut self.mem)),
+            profile: self.profile.clone(),
+            fault: self.fault,
+            watchdog: self.watchdog,
+            launch: self.launch_index,
+            sched: self.sched,
+            workers: os_threads,
+            step,
+            units: steps.iter().max().copied().unwrap_or(0) * num_sms,
+            cursor: AtomicUsize::new(0),
+            steps,
+            slots,
+            run_item,
+            abort: AtomicBool::new(false),
+            panic: Mutex::new(None),
+            steals: AtomicU64::new(0),
+        });
+        let jobs: Vec<PoolJob> = (1..os_threads)
+            .map(|w| {
+                let sh = Arc::clone(&shared);
+                Box::new(move || sh.run_worker(w)) as PoolJob
+            })
+            .collect();
+        let pending = jobs.len();
+        self.pool.dispatch(jobs);
+        // Worker 0 runs inline on the calling thread.
+        shared.run_worker(0);
+        self.pool.wait(pending);
+
+        let launch = match Arc::try_unwrap(shared) {
+            Ok(l) => l,
+            Err(_) => unreachable!("pool workers hold no launch refs after done"),
+        };
+        self.steals += launch.steals.load(Ordering::Relaxed);
+        self.mem = match Arc::try_unwrap(launch.mem) {
+            Ok(m) => m,
+            Err(_) => unreachable!("pool workers hold no memory refs after done"),
         };
 
-        // Slots are in SM order (never reordered / restored by index), so
-        // the merge is a straight in-order sweep that hands the caches and
-        // the item scratch back to `self`.
+        // Slots are in SM order, so the merge is a straight in-order sweep
+        // that hands the caches and the item scratch back to `self`.
         let mut l1s = Vec::with_capacity(num_sms);
         let mut l2s = Vec::with_capacity(num_sms);
         let mut item_scratch = std::mem::take(&mut self.parallel_items);
         item_scratch.clear();
-        for slot in slots {
+        for cell in launch.slots {
+            let slot = cell.into_inner().unwrap_or_else(PoisonError::into_inner);
             self.sm_cycles[slot.sm] = slot.cycles;
             self.cur.merge(&slot.counters);
             l1s.push(slot.l1);
@@ -1304,6 +1214,10 @@ impl Gpu {
         self.l1 = l1s;
         self.l2 = L2Store::PerSm(l2s);
         self.parallel_items = item_scratch;
+        let first_panic = launch
+            .panic
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(payload) = first_panic {
             return Err(Self::classify_abort(name, payload));
         }
@@ -1992,12 +1906,12 @@ mod tests {
 
     /// The scheduler determinism contract: memory, cycles, cache stats,
     /// and per-SM deltas are byte-identical across scheduler modes,
-    /// worker counts, and the lockstep/pool split — including under an
+    /// worker counts, and the inline/pool split — including under an
     /// active fault plan, thanks to the per-block RNG reseed.
     #[test]
     fn steal_and_static_schedules_are_result_identical() {
         for fault in [FaultPlan::none(), FaultPlan::everything(42)] {
-            // Reference: single OS thread (lockstep path, no pool).
+            // Reference: single OS thread (inline, no pool).
             let reference = run_scheduled(SchedMode::Steal, 4, Some(1), fault);
             for sched in [SchedMode::Static, SchedMode::Steal] {
                 for workers in [1, 2, 3, 8] {
@@ -2093,5 +2007,48 @@ mod tests {
         assert!(matches!(err, SimError::MemoryFault { .. }), "got {err:?}");
         // The device must remain usable after both aborts.
         gpu.health_probe().unwrap();
+    }
+
+    /// Records, per block, the position at which it ran: each block's
+    /// first warp takes a ticket from a shared counter and stores it in
+    /// the block's cell.
+    fn block_run_order(mode: ExecMode, host_threads: Option<usize>, blocks: usize) -> Vec<u32> {
+        let mut gpu = Gpu::new(DeviceProfile::titan_x());
+        gpu.set_exec_mode(mode);
+        gpu.set_host_threads_override(host_threads);
+        let ticket = gpu.alloc(1);
+        let order = gpu.alloc(blocks);
+        let tpb = gpu.profile().threads_per_block;
+        let wpb = gpu.profile().warps_per_block() as u32;
+        gpu.try_launch_warps_sync("order", blocks * tpb, move |w| {
+            let wid = w.thread_ids().get(0) / 32;
+            if wid % wpb != 0 {
+                return;
+            }
+            let t = w.atomic_add(ticket, &Lanes::splat(0), &Lanes::splat(1), crate::Mask(1));
+            w.store(order, &Lanes::splat(wid / wpb), &t, crate::Mask(1));
+        })
+        .unwrap();
+        gpu.download(order)
+    }
+
+    /// On one OS thread the dispenser runs blocks in exactly the serial
+    /// order, which for an unshuffled launch is block order.
+    #[test]
+    fn one_thread_runs_blocks_in_serial_order() {
+        let blocks = 100;
+        let serial = block_run_order(ExecMode::Serial, None, blocks);
+        assert_eq!(serial, (0..blocks as u32).collect::<Vec<_>>());
+        for workers in [1, 2, 8] {
+            assert_eq!(
+                block_run_order(ExecMode::HostParallel(workers), Some(1), blocks),
+                serial,
+                "workers={workers}"
+            );
+        }
+        // With real threads every block still runs exactly once.
+        let mut par = block_run_order(ExecMode::HostParallel(4), Some(4), blocks);
+        par.sort_unstable();
+        assert_eq!(par, serial);
     }
 }

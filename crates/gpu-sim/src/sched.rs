@@ -1,38 +1,19 @@
-//! Work-stealing scheduler primitives for host-parallel execution.
+//! Scheduler modes for host-parallel execution.
 //!
-//! [`WorkDeque`] is a Chase–Lev-style work-stealing deque built entirely
-//! from safe `std::sync::atomic` operations: instead of the classic
-//! raw-pointer circular buffer, the ring is a fixed boxed slice of
-//! `AtomicU64` slots indexed by two monotonically increasing `AtomicU64`
-//! positions (`top` for thieves, `bottom` for the owner). The owner pushes
-//! and pops at the bottom (LIFO — freshly pushed work stays cache-hot);
-//! thieves steal from the top (FIFO — they take the oldest, largest-grain
-//! work first). The only cross-thread contention is one CAS on `top`.
-//!
-//! The capacity is fixed at construction and [`WorkDeque::push`] reports
-//! (rather than grows on) overflow. A bounded ring is all the launch
-//! engine needs — every schedulable unit is pushed before workers start —
-//! and it keeps the implementation free of the memory-reclamation subtlety
-//! that makes growable Chase–Lev deques need `unsafe`.
-//!
-//! Determinism note: the *schedule* a deque produces is timing-dependent
-//! by design; the launch engine only runs order-insensitive work units
-//! through it (each unit owns its SM state exclusively, and device memory
-//! is min-wins/real-atomic), so results never depend on who stole what.
-//! See `DESIGN.md` § "Work-stealing scheduler".
+//! A host-parallel launch hands out *units* — one block's worth of one
+//! simulated SM's work — in the order the serial launch runs them (block
+//! `0`, `1`, `2`, …). [`SchedMode`] only decides which worker may take a
+//! unit; see `DESIGN.md` § "Block scheduling".
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-
-/// How a host-parallel launch distributes simulated SMs over workers.
+/// How a host-parallel launch distributes units over workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedMode {
-    /// Fixed round-robin SM-to-worker assignment (the pre-stealing
-    /// behaviour): worker `w` runs SMs `w, w + W, w + 2W, …` and idles
-    /// when its share finishes early. Kept as an A/B escape hatch.
+    /// Fixed SM-to-worker assignment: worker `w` runs, in serial order,
+    /// only the units of SMs `w, w + W, w + 2W, …`, and idles when its
+    /// share finishes early. Kept as an A/B escape hatch.
     Static,
-    /// Work stealing (the default): workers drain their own deque LIFO
-    /// and steal FIFO from victims chosen by seeded round-robin when it
-    /// runs dry, so degree-skewed launches load-balance across workers.
+    /// Any free worker takes the next unit in serial order (the default),
+    /// so degree-skewed launches load-balance across workers.
     #[default]
     Steal,
 }
@@ -58,140 +39,9 @@ impl SchedMode {
     }
 }
 
-/// Outcome of one [`WorkDeque::steal`] attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StealResult {
-    /// The deque was observed empty.
-    Empty,
-    /// Lost a race with the owner or another thief; retrying may succeed.
-    Retry,
-    /// One item, removed from the top (FIFO end).
-    Taken(u64),
-}
-
-/// A bounded Chase–Lev work-stealing deque of `u64` items (see the module
-/// docs for the design). Owner API: [`WorkDeque::push`] /
-/// [`WorkDeque::pop`], single-threaded. Thief API: [`WorkDeque::steal`],
-/// any number of concurrent callers.
-pub struct WorkDeque {
-    /// Next position a thief will take (monotonically increasing).
-    top: AtomicU64,
-    /// Next position the owner will push to. Only the owner moves it
-    /// down (during a pop); position arithmetic is wrapping, compared
-    /// through signed differences.
-    bottom: AtomicU64,
-    /// Power-of-two ring of item slots, indexed by `position & mask`.
-    ring: Box<[AtomicU64]>,
-    mask: u64,
-}
-
-impl WorkDeque {
-    /// A deque holding at most `capacity` items (rounded up to a power of
-    /// two, minimum 1).
-    pub fn with_capacity(capacity: usize) -> WorkDeque {
-        let cap = capacity.max(1).next_power_of_two();
-        WorkDeque {
-            top: AtomicU64::new(0),
-            bottom: AtomicU64::new(0),
-            ring: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-            mask: cap as u64 - 1,
-        }
-    }
-
-    /// Ring capacity in items.
-    pub fn capacity(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Owner-only: appends `item` at the bottom. Returns `false` (and
-    /// stores nothing) when the ring is full.
-    pub fn push(&self, item: u64) -> bool {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Acquire);
-        if b.wrapping_sub(t) >= self.ring.len() as u64 {
-            return false;
-        }
-        self.ring[(b & self.mask) as usize].store(item, Ordering::Relaxed);
-        // Publish the slot before the new bottom becomes visible to
-        // thieves (they Acquire-load `bottom` before reading the slot).
-        self.bottom.store(b.wrapping_add(1), Ordering::Release);
-        true
-    }
-
-    /// Owner-only: removes and returns the most recently pushed item
-    /// (LIFO), or `None` when the deque is empty.
-    pub fn pop(&self) -> Option<u64> {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Relaxed);
-        if b.wrapping_sub(t) as i64 <= 0 {
-            return None;
-        }
-        let nb = b.wrapping_sub(1);
-        self.bottom.store(nb, Ordering::Relaxed);
-        // The SeqCst fence orders the bottom decrement against thieves'
-        // top/bottom loads: either a concurrent thief sees the reduced
-        // bottom and backs off, or we see its advanced top below and
-        // fight for the last item with a CAS.
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        let size = nb.wrapping_sub(t) as i64;
-        if size < 0 {
-            // Thieves emptied the deque while we were decrementing.
-            self.bottom.store(t, Ordering::Relaxed);
-            return None;
-        }
-        let item = self.ring[(nb & self.mask) as usize].load(Ordering::Relaxed);
-        if size > 0 {
-            return Some(item);
-        }
-        // Exactly one item left: race any thief for it through `top`.
-        let won = self
-            .top
-            .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok();
-        self.bottom.store(t.wrapping_add(1), Ordering::Relaxed);
-        if won {
-            Some(item)
-        } else {
-            None
-        }
-    }
-
-    /// Thief API: tries to remove the oldest item (FIFO). Safe to call
-    /// from any thread, concurrently with the owner and other thieves.
-    pub fn steal(&self) -> StealResult {
-        let t = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if b.wrapping_sub(t) as i64 <= 0 {
-            return StealResult::Empty;
-        }
-        // Read the slot before claiming it: if the CAS below succeeds,
-        // `top` still equalled `t`, so no push can have recycled this
-        // slot (pushes reject at `bottom - top == capacity`).
-        let item = self.ring[(t & self.mask) as usize].load(Ordering::Relaxed);
-        match self
-            .top
-            .compare_exchange(t, t.wrapping_add(1), Ordering::SeqCst, Ordering::Relaxed)
-        {
-            Ok(_) => StealResult::Taken(item),
-            Err(_) => StealResult::Retry,
-        }
-    }
-
-    /// Snapshot of the current item count (racy under concurrency —
-    /// useful for tests and idle heuristics, not for synchronization).
-    pub fn len_hint(&self) -> usize {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Relaxed);
-        (b.wrapping_sub(t) as i64).max(0) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultRng;
 
     #[test]
     fn sched_mode_parses_and_round_trips() {
@@ -203,144 +53,5 @@ mod tests {
             assert_eq!(SchedMode::parse(m.describe()).unwrap(), m);
         }
         assert_eq!(SchedMode::default(), SchedMode::Steal);
-    }
-
-    #[test]
-    fn lifo_pop_fifo_steal() {
-        let d = WorkDeque::with_capacity(8);
-        for i in 0..4 {
-            assert!(d.push(i));
-        }
-        assert_eq!(d.len_hint(), 4);
-        // Owner pops newest first.
-        assert_eq!(d.pop(), Some(3));
-        // Thief takes oldest first.
-        assert_eq!(d.steal(), StealResult::Taken(0));
-        assert_eq!(d.steal(), StealResult::Taken(1));
-        assert_eq!(d.pop(), Some(2));
-        assert_eq!(d.pop(), None);
-        assert_eq!(d.steal(), StealResult::Empty);
-    }
-
-    #[test]
-    fn push_reports_overflow_instead_of_clobbering() {
-        let d = WorkDeque::with_capacity(2);
-        assert!(d.push(10));
-        assert!(d.push(11));
-        assert!(!d.push(12), "full ring must reject");
-        assert_eq!(d.pop(), Some(11));
-        assert!(d.push(12), "room after a pop");
-        assert_eq!(d.steal(), StealResult::Taken(10));
-        assert_eq!(d.steal(), StealResult::Taken(12));
-    }
-
-    #[test]
-    fn interleaved_push_pop_wraps_ring() {
-        // Positions keep increasing past the ring size, so this exercises
-        // the wrap-around index math many times over.
-        let d = WorkDeque::with_capacity(4);
-        let mut pushed = 0u64;
-        let mut popped = 0u64;
-        for round in 0..100u64 {
-            if d.push(round) {
-                pushed += 1;
-            } else {
-                // Full ring: drain one and retry; the retried push must fit.
-                assert!(d.pop().is_some());
-                popped += 1;
-                assert!(d.push(round));
-                pushed += 1;
-            }
-            if round % 3 == 0 {
-                assert_eq!(d.pop(), Some(round));
-                popped += 1;
-            }
-        }
-        while d.pop().is_some() {
-            popped += 1;
-        }
-        assert_eq!(pushed, popped, "everything pushed must come back out");
-        assert_eq!(d.len_hint(), 0);
-    }
-
-    /// Hand-rolled property test (the workspace is dependency-free, so no
-    /// proptest crate): across seeded random configurations — 1..=16
-    /// stealing workers, random item counts, random owner pop/push
-    /// interleavings and thief yield patterns — every pushed item must be
-    /// executed exactly once, with nothing lost, duplicated, or invented.
-    #[test]
-    fn randomized_exactly_once_across_steal_interleavings() {
-        for trial in 0..24u64 {
-            let mut rng = FaultRng::new(0xDECADE ^ trial, trial);
-            let thieves = 1 + rng.below(16) as usize;
-            let items = 1 + rng.below(300);
-            let late_pushes = rng.below(items.min(32) + 1);
-            let deque = WorkDeque::with_capacity(items as usize);
-            for i in 0..items - late_pushes {
-                assert!(deque.push(i));
-            }
-
-            let done = std::sync::atomic::AtomicBool::new(false);
-            let mut claimed: Vec<Vec<u64>> = Vec::new();
-            std::thread::scope(|scope| {
-                let deque = &deque;
-                let done = &done;
-                let handles: Vec<_> = (0..thieves)
-                    .map(|w| {
-                        let mut trng = FaultRng::new(trial, w as u64);
-                        scope.spawn(move || {
-                            let mut got = Vec::new();
-                            loop {
-                                match deque.steal() {
-                                    StealResult::Taken(v) => got.push(v),
-                                    StealResult::Retry => std::hint::spin_loop(),
-                                    StealResult::Empty => {
-                                        if done.load(std::sync::atomic::Ordering::Acquire) {
-                                            break;
-                                        }
-                                        if trng.chance(500) {
-                                            std::thread::yield_now();
-                                        }
-                                    }
-                                }
-                            }
-                            got
-                        })
-                    })
-                    .collect();
-
-                // The owner pushes the remaining items and pops randomly,
-                // racing the thieves the whole time.
-                let mut owner_got = Vec::new();
-                for i in items - late_pushes..items {
-                    assert!(deque.push(i));
-                    if rng.chance(400) {
-                        if let Some(v) = deque.pop() {
-                            owner_got.push(v);
-                        }
-                    }
-                }
-                while let Some(v) = deque.pop() {
-                    owner_got.push(v);
-                    if rng.chance(200) {
-                        std::thread::yield_now();
-                    }
-                }
-                done.store(true, std::sync::atomic::Ordering::Release);
-                claimed.push(owner_got);
-                for h in handles {
-                    claimed.push(h.join().expect("thief panicked"));
-                }
-            });
-
-            let mut all: Vec<u64> = claimed.into_iter().flatten().collect();
-            all.sort_unstable();
-            let expect: Vec<u64> = (0..items).collect();
-            assert_eq!(
-                all, expect,
-                "trial {trial}: items not executed exactly once \
-                 ({thieves} thieves, {items} items, {late_pushes} late)"
-            );
-        }
     }
 }

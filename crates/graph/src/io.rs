@@ -140,9 +140,22 @@ fn check_declared_vertices(n: usize, what: &str) -> Result<(), IoError> {
     Ok(())
 }
 
+/// The error for an edge-list line naming a vertex ID at or above
+/// [`MAX_DECLARED_VERTICES`]. An edge list declares its vertex count
+/// through its largest ID, so a 13-byte line `0 4294967295` would
+/// otherwise size a 2^32-entry CSR offset array.
+fn vertex_id_over_limit(no: usize, id: Vertex) -> IoError {
+    parse_err(format!(
+        "line {no}: vertex ID {id} exceeds the reader limit {MAX_DECLARED_VERTICES}; \
+         refusing ID-driven allocation"
+    ))
+}
+
 /// Reads a whitespace-separated edge list (SNAP style): one `u v` pair per
 /// line, `#`- and `%`-prefixed comment lines ignored, tokens after the
-/// second ignored. Vertex IDs are used as-is.
+/// second ignored. Vertex IDs are used as-is; an ID at or above 2^28 is
+/// refused with a parse error naming its line, unless another line of the
+/// file fails to parse, whose error is returned instead.
 ///
 /// The input is read in bounded blocks, each parsed in parallel on the
 /// available cores; see `io::text` for the exact line and token rules.
@@ -622,6 +635,23 @@ mod tests {
         let e = read_dimacs("p sp 4000000000 5\n".as_bytes()).unwrap_err();
         let msg = e.to_string();
         assert!(msg.contains("reader limit"), "got: {msg}");
+    }
+
+    #[test]
+    fn edge_list_rejects_huge_vertex_id_no_oom() {
+        // 13 bytes naming vertex 2^32 - 1 would size a 2^32-entry CSR
+        // offset array; the reader limit refuses it, naming the line.
+        let e = read_edge_list("# x\n0 4294967295".as_bytes()).unwrap_err();
+        let msg = e.to_string();
+        assert!(
+            matches!(e, IoError::Parse(_))
+                && msg.contains("line 2: vertex ID 4294967295")
+                && msg.contains("reader limit"),
+            "got: {msg}"
+        );
+        // A parse error on a later line keeps priority.
+        let e = read_edge_list("0 4294967295\n1 x\n".as_bytes()).unwrap_err();
+        assert!(e.to_string().contains("line 2: invalid digit"), "got: {e}");
     }
 
     #[test]

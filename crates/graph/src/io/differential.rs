@@ -11,6 +11,7 @@ use std::io::BufRead;
 
 fn oracle_edge_list(r: impl Read) -> Result<CsrGraph, IoError> {
     let mut b = GraphBuilder::new(0);
+    let mut over_limit = None;
     for (lineno, line) in BufReader::new(r).lines().enumerate() {
         let line = line?;
         let t = line.trim();
@@ -28,7 +29,16 @@ fn oracle_edge_list(r: impl Read) -> Result<CsrGraph, IoError> {
             .ok_or_else(|| parse_err(format!("line {}: missing target", lineno + 1)))?
             .parse()
             .map_err(|e| parse_err(format!("line {}: {e}", lineno + 1)))?;
+        if over_limit.is_none() {
+            over_limit = [u, v]
+                .into_iter()
+                .find(|&id| id as usize >= MAX_DECLARED_VERTICES)
+                .map(|id| (lineno + 1, id));
+        }
         b.add_edge(u, v);
+    }
+    if let Some((no, id)) = over_limit {
+        return Err(vertex_id_over_limit(no, id));
     }
     Ok(b.build())
 }
@@ -206,9 +216,8 @@ fn check_edge_list(input: &[u8]) {
     }
 }
 
-/// Hand-picked edge-list inputs. (A line naming vertex `u32::MAX` is
-/// only ever followed by a failing line: a successful read would build
-/// a 2^32-vertex CSR.)
+/// Hand-picked edge-list inputs. (IDs at or above the 2^28 reader limit
+/// are refused after the parse, so a later failing line still wins.)
 const EDGE_LIST_CORPUS: &[&[u8]] = &[
     b"",
     b"\n",
@@ -239,6 +248,13 @@ const EDGE_LIST_CORPUS: &[&[u8]] = &[
     b"4294967296 0\n",
     b"4294967295 1\n0 x\n",
     b"0 4294967295 3\n+4294967295 x\n",
+    b"0 4294967295",
+    b"268435456 0\n",
+    b"0 268435455\n7 268435456\n",
+    b"# c\n0 1\n\n5 300000000\n300000001 6\n",
+    b"0 x\n0 4294967295\n",
+    b"0 4294967295\n1 x\n",
+    b"0 1\n1 2\n2 3\n3 4294967295\n4 5\n5 6\n6 268435456\n7 8\n",
     b"00000000000000000000012 0000003\n",
     b"1e3 4\n",
     b"0x10 1\n",

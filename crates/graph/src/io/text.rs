@@ -18,7 +18,7 @@
 //!   only on lines where that gives the same answer: ASCII whitespace and
 //!   IDs of at most nine digits, which cannot overflow a `u32`.
 
-use super::{parse_err, IoError};
+use super::{parse_err, vertex_id_over_limit, IoError, MAX_DECLARED_VERTICES};
 use crate::{CsrGraph, Edge, GraphBuilder, Vertex};
 use std::io::{self, Read};
 
@@ -288,6 +288,7 @@ pub(crate) fn read_edge_list_with(
     // smaller text (a short file, or the tail of one) uses fewer.
     let share = (block / threads).max(1);
     let mut builder = GraphBuilder::new(0);
+    let mut over_limit = None;
     // One pair buffer per chunk, reused across blocks. They are allocated
     // here, so that their growth stays with the calling thread's
     // allocator arena instead of leaving memory in one per worker.
@@ -324,14 +325,39 @@ pub(crate) fn read_edge_list_with(
                 }
                 Err(e) => return Err(e),
             };
+            if over_limit.is_none() && vertices > MAX_DECLARED_VERTICES {
+                over_limit = first_id_over_limit(chunks[k], first + lines);
+            }
             builder.append_canonical(out, vertices);
             lines += n;
         }
         Ok(lines)
     })?;
+    // Refused only once every line has parsed, so that a parse error
+    // anywhere in the file keeps priority, as in a line-at-a-time read.
+    if let Some((no, id)) = over_limit {
+        return Err(vertex_id_over_limit(no, id));
+    }
     // Freed before `build` allocates the CSR, the read's peak.
     drop(bufs);
     Ok(builder.build())
+}
+
+/// The first line of an already parsed chunk (numbered on from `first`)
+/// that names a vertex ID at or above [`MAX_DECLARED_VERTICES`], with
+/// that ID.
+fn first_id_over_limit(chunk: &[u8], first: usize) -> Option<(usize, Vertex)> {
+    let mut found = None;
+    let _ = scan_lines(chunk, first, &mut |no, line| {
+        if let (None, Ok(Some((u, v)))) = (found, edge_line(no, line)) {
+            found = [u, v]
+                .into_iter()
+                .find(|&id| id as usize >= MAX_DECLARED_VERTICES)
+                .map(|id| (no, id));
+        }
+        Ok(())
+    });
+    found
 }
 
 #[cfg(test)]

@@ -203,11 +203,11 @@ fn parallel_labels_byte_identical_to_serial() {
 }
 
 /// The scheduler half of the equivalence contract: for every sched mode
-/// (static SM bucketing and work-stealing deques), worker count, and
-/// fault plan, host-parallel ECL-CC labels are byte-identical to serial
+/// (static SM homes and the shared dispenser), worker count, and fault
+/// plan, host-parallel ECL-CC labels are byte-identical to serial
 /// labels. The host-thread override forces real pool threads (with real
-/// steal interleavings) even on a single-core CI host, so the stealing
-/// path is genuinely exercised, not collapsed to lockstep.
+/// interleavings) even on a single-core CI host, so the pool path is
+/// genuinely exercised, not collapsed to one inline thread.
 #[test]
 fn steal_and_static_sched_labels_byte_identical_to_serial() {
     let graphs: Vec<(&str, CsrGraph)> = vec![
@@ -280,7 +280,7 @@ fn steal_mode_cache_stats_byte_identical_across_workers() {
         (gpu.l1_stats(), gpu.l2_stats())
     };
 
-    // Reference: lockstep single-thread schedule.
+    // Reference: single-thread schedule (serial block order).
     let (ref_l1, ref_l2) = run_one(SchedMode::Steal, 4, Some(1));
     for sched in [SchedMode::Static, SchedMode::Steal] {
         for workers in [1usize, 2, 4, 8] {
@@ -420,4 +420,138 @@ fn mode_switch_does_not_perturb_serial_stats() {
     let (labels_b, stats_b) = history();
     assert_eq!(labels_a, labels_b);
     assert_eq!(stats_a, stats_b);
+}
+
+/// The order contract of the host-parallel block dispenser: on one OS
+/// thread it runs blocks in exactly the serial order, so every quantity
+/// that depends only on that order — instructions, atomics, CAS attempts
+/// and failures, per-SM L1 traffic, worklist sizes, labels — equals
+/// serial mode's, for any worker count. (L2 stats and cycles differ
+/// legitimately: host-parallel mode slices the L2 per SM.) The lattice
+/// is the input where hooking order changes union-find path lengths.
+#[test]
+fn one_thread_host_parallel_reproduces_serial_counts() {
+    let cases: [(&str, CsrGraph, DeviceProfile); 4] = [
+        (
+            "gnm/titan",
+            generate::gnm_random(2000, 6000, 42),
+            DeviceProfile::titan_x(),
+        ),
+        (
+            "star/tiny",
+            generate::star(1000),
+            DeviceProfile::test_tiny(),
+        ),
+        (
+            "rmat/k40",
+            generate::rmat(10, 8, generate::RmatParams::GALOIS, 7),
+            DeviceProfile::k40(),
+        ),
+        (
+            "road/titan",
+            generate::road_network(96, 96, 0.9, 0.05, 3),
+            DeviceProfile::titan_x(),
+        ),
+    ];
+    type Row = (u64, u64, u64, u64, ecl_gpu_sim::CacheStats);
+    let rows = |s: &ecl_cc::gpu::GpuRunStats| -> Vec<Row> {
+        s.kernels
+            .iter()
+            .map(|k| {
+                (
+                    k.instructions,
+                    k.atomics,
+                    k.cas_attempts,
+                    k.cas_failures,
+                    k.l1_cache,
+                )
+            })
+            .collect()
+    };
+    for (name, g, profile) in &cases {
+        let mut serial_gpu = Gpu::new(profile.clone());
+        let (serial, s) = ecl_cc::gpu::run(&mut serial_gpu, g, &EclConfig::default());
+        for workers in 1..=8 {
+            let mut gpu = Gpu::new(profile.clone());
+            gpu.set_exec_mode(ExecMode::HostParallel(workers));
+            gpu.set_host_threads_override(Some(1));
+            let (par, p) = ecl_cc::gpu::run(&mut gpu, g, &EclConfig::default());
+            assert_eq!(
+                par.labels, serial.labels,
+                "{name}/workers={workers}: labels"
+            );
+            assert_eq!(
+                (p.worklist_mid, p.worklist_big),
+                (s.worklist_mid, s.worklist_big),
+                "{name}/workers={workers}: worklists"
+            );
+            for ((pk, sk), (prow, srow)) in p
+                .kernels
+                .iter()
+                .zip(&s.kernels)
+                .zip(rows(&p).iter().zip(rows(&s)))
+            {
+                assert_eq!(pk.name, sk.name);
+                assert_eq!(*prow, srow, "{name}/workers={workers}: kernel {}", sk.name);
+            }
+            assert_eq!(gpu.steal_count(), 0, "one thread has no other worker");
+        }
+    }
+}
+
+/// `Static` keeps every unit on its home worker (`sm % workers`), and
+/// `Steal` never counts more units off home than it ran.
+#[test]
+fn static_sched_runs_no_unit_off_its_home_worker() {
+    let g = generate::road_network(64, 64, 0.9, 0.05, 5);
+    for sched in [SchedMode::Static, SchedMode::Steal] {
+        let mut gpu = Gpu::new(DeviceProfile::titan_x());
+        gpu.set_exec_mode(ExecMode::HostParallel(4));
+        gpu.set_sched_mode(sched);
+        gpu.set_host_threads_override(Some(4));
+        let _ = ecl_cc::gpu::run(&mut gpu, &g, &EclConfig::default());
+        assert!(gpu.sched_unit_count() > 0);
+        if sched == SchedMode::Static {
+            assert_eq!(
+                gpu.steal_count(),
+                0,
+                "static ran a unit off its home worker"
+            );
+        } else {
+            assert!(gpu.steal_count() <= gpu.sched_unit_count());
+        }
+    }
+}
+
+/// An abort must stop every worker, including those waiting for an SM
+/// whose earlier step is still running: a launch whose first block spins
+/// past the watchdog while the others are cheap returns a structured
+/// watchdog error instead of hanging, and leaves the device usable.
+#[test]
+fn skewed_watchdog_abort_with_four_threads_does_not_hang() {
+    for sched in [SchedMode::Steal, SchedMode::Static] {
+        let mut gpu = Gpu::new(DeviceProfile::titan_x());
+        gpu.set_exec_mode(ExecMode::HostParallel(4));
+        gpu.set_sched_mode(sched);
+        gpu.set_host_threads_override(Some(4));
+        gpu.set_watchdog(Some(50_000));
+        let blocks = gpu.profile().num_sms * 6;
+        let err = gpu
+            .try_launch_blocks_sync("skew", blocks, |b| {
+                let spins = if b.block_idx() == 0 { 10_000_000 } else { 10 };
+                b.for_each_warp(|w| {
+                    for _ in 0..spins {
+                        w.alu(1);
+                    }
+                });
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, ecl_gpu_sim::SimError::Watchdog { .. }),
+            "{}: got {err:?}",
+            sched.describe()
+        );
+        gpu.set_watchdog(None);
+        gpu.health_probe().unwrap();
+    }
 }
